@@ -171,17 +171,6 @@ def runtime_report(runtime: "Runtime") -> dict:
         ),
     }
 
-    # Marshal-codegen counters are process-global (the cdr registries are
-    # shared, like the plan cache); mirror them into this sim's Prometheus
-    # registry as gauges so `repro.obs` exports carry them.
-    codegen = cdr.marshal_codegen_stats()
-    metrics = sim.obs.metrics
-    metrics.gauge("marshal_codegen_enabled").set(1.0 if codegen["enabled"] else 0.0)
-    for key, value in codegen.items():
-        if key == "enabled":
-            continue
-        metrics.gauge(f"marshal_codegen_{key}").set(float(value))
-
     return {
         "simulated_time": sim.now,
         "hosts": hosts,
@@ -198,8 +187,9 @@ def runtime_report(runtime: "Runtime") -> dict:
         "resolve_cache": resolve_cache,
         "connection_cache": connections,
         "winner_reports": winner_reports,
+        # Process-wide, not per runtime: the plan cache is shared by every
+        # runtime in the process (plans depend only on the typecode).
         "cdr_plan_cache": cdr.plan_cache_stats(),
-        "marshal_codegen": codegen,
         "observability": sim.obs.report(),
         "slo": slo_report(sim.obs.metrics.snapshot()),
     }
@@ -353,30 +343,13 @@ def format_runtime_report(report: dict) -> str:
     plans = report.get("cdr_plan_cache")
     if plans and (plans["encoder_plan_hits"] or plans["decoder_plan_hits"]):
         sections.append(
-            f"CDR plan cache: {plans['encoder_plan_hits']} encoder hits / "
+            "CDR plan cache (process-wide): "
+            f"{plans['encoder_plan_hits']} encoder hits / "
             f"{plans['encoder_plans_compiled']} compiled, "
             f"{plans['decoder_plan_hits']} decoder hits / "
             f"{plans['decoder_plans_compiled']} compiled, "
             f"any-memo {plans['any_memo_hits']} hits / "
             f"{plans['any_memo_misses']} misses"
-        )
-    codegen = report.get("marshal_codegen")
-    if codegen and codegen.get("enabled"):
-        sections.append(
-            f"Marshal codegen: {codegen['encoder_hits']} encoder hits / "
-            f"{codegen['encoder_fallbacks']} fallbacks, "
-            f"{codegen['decoder_hits']} decoder hits / "
-            f"{codegen['decoder_fallbacks']} fallbacks; requests "
-            f"{codegen['request_encoder_hits']}/"
-            f"{codegen['request_encoder_fallbacks']}, args "
-            f"{codegen['arg_decoder_hits']}/"
-            f"{codegen['arg_decoder_fallbacks']}, dispatch "
-            f"{codegen['dispatch_hits']}/{codegen['dispatch_fallbacks']} "
-            f"({codegen['reply_encode_fallbacks']} reply fallbacks); "
-            f"{codegen['modules_generated']} modules generated in "
-            f"{codegen['generation_seconds']:.3f}s "
-            f"({codegen['typecode_coders']} type coders, "
-            f"{codegen['op_coders']} op coders)"
         )
     obs = report.get("observability")
     if obs:

@@ -86,9 +86,6 @@ class Scenario:
     winner_delta_reports: bool = False
     connection_reuse: bool = False
     connection_handshake_rtts: int = 0
-    #: AOT marshal/dispatch fast path (bit-identical wire bytes, so the
-    #: simulated results are unchanged; off = interpreted plan cache).
-    marshal_codegen: bool = False
 
     def validate(self) -> None:
         if self.pool_size >= self.num_hosts:
@@ -116,7 +113,6 @@ class Scenario:
                 resolve_cache_ttl=self.resolve_cache_ttl,
                 resolve_scoring_work=self.resolve_scoring_work,
                 winner_delta_reports=self.winner_delta_reports,
-                marshal_codegen=self.marshal_codegen,
                 orb=OrbConfig(
                     connection_reuse=self.connection_reuse,
                     connection_handshake_rtts=self.connection_handshake_rtts,

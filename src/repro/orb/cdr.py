@@ -18,18 +18,24 @@ is written as one buffer, not element-by-element — the optimization guides'
 "vectorize the hot loop" rule applied to marshalling, which *is* the hot
 loop of an ORB.
 
-Two caches take re-walking out of the hot loop:
+There is one marshal path and no switch to pick another:
 
 * **encoder/decoder plans** — :class:`TypeCode` is a frozen (hashable)
-  dataclass, so the kind-dispatch over a typecode tree can be compiled
-  once into nested closures and memoized per typecode
-  (:func:`encoder_plan` / :func:`decoder_plan`).  ``write_value`` /
-  ``read_value`` consult the plan cache unless it is disabled via
-  :func:`set_plan_cache_enabled` (the parity tests flip it);
+  dataclass, so the kind-dispatch over a typecode tree is compiled once
+  into nested closures and memoized per typecode (:func:`encoder_plan` /
+  :func:`decoder_plan`).  ``write_value`` / ``read_value`` always run the
+  plan.  Plans cover every typecode, including ``any`` and the dynamic
+  typecodes :func:`infer_typecode` builds for checkpoint payloads; the
+  cache and its counters are process-wide because a plan depends only on
+  its typecode;
 * **:class:`AnyEncodeMemo`** — callers that repeatedly encode the same
   logical value (the checkpoint path encodes the server state after
   every call, and most calls barely change it) get the previous bytes
   back after a structural equality check instead of a full re-encode.
+
+Strings that are not valid UTF-8, on either side of the wire, raise
+:class:`~repro.errors.CdrError` like any other malformed value, so the ORB
+reports them as ``MARSHAL``.
 """
 
 from __future__ import annotations
@@ -86,17 +92,14 @@ _UNION_REGISTRY: dict[str, type] = {}
 
 
 def register_struct_class(name: str, cls: type) -> None:
-    _invalidate_generated(name, _STRUCT_REGISTRY.get(name), cls)
     _STRUCT_REGISTRY[name] = cls
 
 
 def register_enum_class(name: str, cls: type) -> None:
-    _invalidate_generated(name, _ENUM_REGISTRY.get(name), cls)
     _ENUM_REGISTRY[name] = cls
 
 
 def register_union_class(name: str, cls: type) -> None:
-    _invalidate_generated(name, _UNION_REGISTRY.get(name), cls)
     _UNION_REGISTRY[name] = cls
 
 
@@ -204,7 +207,10 @@ class CdrOutputStream:
         """CDR string: ulong byte length including NUL, bytes, NUL."""
         if not isinstance(value, str):
             raise CdrError(f"expected str, got {type(value).__name__}")
-        data = value.encode("utf-8")
+        try:
+            data = value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CdrError(f"cannot encode string as UTF-8: {exc}") from exc
         self.write_ulong(len(data) + 1)
         self._buffer.extend(data)
         self._buffer.append(0)
@@ -228,66 +234,7 @@ class CdrOutputStream:
     # -- typed values -----------------------------------------------------------
 
     def write_value(self, tc: TypeCode, value: Any) -> None:
-        if _MARSHAL_CODEGEN_ENABLED:
-            encoder = _GENERATED_ENCODERS.get(tc)
-            if encoder is not None:
-                mark = len(self._buffer)
-                try:
-                    encoder(self, value)
-                # analysis: ignore[EXC002]: any generated-path failure rolls the buffer back and retries interpreted, which raises the canonical CdrError
-                except Exception:  # noqa: BLE001
-                    del self._buffer[mark:]
-                    _CODEGEN_STATS["encoder_fallbacks"] += 1
-                else:
-                    _CODEGEN_STATS["encoder_hits"] += 1
-                    return
-        if _PLAN_CACHE_ENABLED:
-            encoder_plan(tc)(self, value)
-        else:
-            self._write_value_slow(tc, value)
-
-    def _write_value_slow(self, tc: TypeCode, value: Any) -> None:
-        kind = tc.kind
-        if kind in (TCKind.NULL, TCKind.VOID):
-            if value is not None:
-                raise CdrError(f"{kind.name} carries no value, got {value!r}")
-            return
-        if kind is TCKind.BOOLEAN:
-            self.write_boolean(bool(value))
-            return
-        if kind in _PRIMITIVE_FORMATS:
-            if tc.is_integer:
-                self._check_int(tc, value)
-            self.write_primitive(kind, value)
-            return
-        if kind is TCKind.STRING:
-            self.write_string(value)
-            return
-        if kind is TCKind.OCTETS:
-            self.write_octets(value)
-            return
-        if kind is TCKind.SEQUENCE:
-            self._write_sequence(tc, value)
-            return
-        if kind is TCKind.ARRAY:
-            self._write_array(tc, value)
-            return
-        if kind in (TCKind.STRUCT, TCKind.EXCEPTION):
-            self._write_struct(tc, value)
-            return
-        if kind is TCKind.ENUM:
-            self._write_enum(tc, value)
-            return
-        if kind is TCKind.UNION:
-            self._write_union(tc, value)
-            return
-        if kind is TCKind.OBJREF:
-            self.write_ior(value)
-            return
-        if kind is TCKind.ANY:
-            self.write_any(value)
-            return
-        raise CdrError(f"cannot encode TypeCode kind {kind.name}")
+        encoder_plan(tc)(self, value)
 
     def _check_int(self, tc: TypeCode, value: Any) -> None:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -295,53 +242,6 @@ class CdrOutputStream:
         lo, hi = tc.integer_bounds()
         if not lo <= int(value) <= hi:
             raise CdrError(f"{value} out of range for {tc!r} [{lo}, {hi}]")
-
-    def _write_sequence(self, tc: TypeCode, value: Any) -> None:
-        assert tc.content is not None
-        dtype = _NUMPY_SEQ_DTYPES.get(tc.content.kind)
-        if dtype is not None:
-            arr = np.asarray(value)
-            if arr.ndim != 1:
-                raise CdrError(
-                    f"sequence<{tc.content!r}> expects a 1-D value, got shape {arr.shape}"
-                )
-            self.write_ulong(arr.shape[0])
-            _, size = _PRIMITIVE_FORMATS[tc.content.kind]
-            self.align(size)
-            try:
-                self._buffer.extend(arr.astype(dtype, copy=False).tobytes())
-            except (TypeError, ValueError) as exc:
-                raise CdrError(f"bad element in sequence: {exc}") from exc
-            return
-        items = list(value)
-        self.write_ulong(len(items))
-        for item in items:
-            self.write_value(tc.content, item)
-
-    def _write_array(self, tc: TypeCode, value: Any) -> None:
-        assert tc.content is not None
-        items = list(value)
-        if len(items) != tc.length:
-            raise CdrError(
-                f"array of length {tc.length} got {len(items)} elements"
-            )
-        for item in items:
-            self.write_value(tc.content, item)
-
-    def _write_struct(self, tc: TypeCode, value: Any) -> None:
-        for name, field_tc in tc.fields:
-            if isinstance(value, dict):
-                if name not in value:
-                    raise CdrError(f"struct {tc.name} value missing field {name!r}")
-                field_value = value[name]
-            else:
-                try:
-                    field_value = getattr(value, name)
-                except AttributeError:
-                    raise CdrError(
-                        f"struct {tc.name} value {value!r} missing field {name!r}"
-                    ) from None
-            self.write_value(field_tc, field_value)
 
     def _write_enum(self, tc: TypeCode, value: Any) -> None:
         if isinstance(value, str):
@@ -488,7 +388,10 @@ class CdrInputStream:
         data = self.read_raw(length)
         if data[-1] != 0:
             raise CdrError("string is not NUL-terminated")
-        return data[:-1].decode("utf-8")
+        try:
+            return data[:-1].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CdrError(f"string is not valid UTF-8: {exc}") from exc
 
     def read_octets(self) -> bytes:
         length = self.read_ulong()
@@ -505,70 +408,7 @@ class CdrInputStream:
     # -- typed values ------------------------------------------------------------
 
     def read_value(self, tc: TypeCode) -> Any:
-        if _MARSHAL_CODEGEN_ENABLED:
-            decoder = _GENERATED_DECODERS.get(tc)
-            if decoder is not None:
-                mark = self._pos
-                try:
-                    value = decoder(self)
-                # analysis: ignore[EXC002]: any generated-path failure rewinds the cursor and retries interpreted, which raises the canonical CdrError
-                except Exception:  # noqa: BLE001
-                    self._pos = mark
-                    _CODEGEN_STATS["decoder_fallbacks"] += 1
-                else:
-                    _CODEGEN_STATS["decoder_hits"] += 1
-                    return value
-        if _PLAN_CACHE_ENABLED:
-            return decoder_plan(tc)(self)
-        return self._read_value_slow(tc)
-
-    def _read_value_slow(self, tc: TypeCode) -> Any:
-        kind = tc.kind
-        if kind in (TCKind.NULL, TCKind.VOID):
-            return None
-        if kind is TCKind.BOOLEAN:
-            return self.read_boolean()
-        if kind in _PRIMITIVE_FORMATS:
-            return self.read_primitive(kind)
-        if kind is TCKind.STRING:
-            return self.read_string()
-        if kind is TCKind.OCTETS:
-            return self.read_octets()
-        if kind is TCKind.SEQUENCE:
-            return self._read_sequence(tc)
-        if kind is TCKind.ARRAY:
-            assert tc.content is not None
-            return [self.read_value(tc.content) for _ in range(tc.length)]
-        if kind in (TCKind.STRUCT, TCKind.EXCEPTION):
-            return self._read_struct(tc)
-        if kind is TCKind.ENUM:
-            return self._read_enum(tc)
-        if kind is TCKind.UNION:
-            return self._read_union(tc)
-        if kind is TCKind.OBJREF:
-            return self.read_ior()
-        if kind is TCKind.ANY:
-            return self.read_any()
-        raise CdrError(f"cannot decode TypeCode kind {kind.name}")
-
-    def _read_sequence(self, tc: TypeCode) -> Any:
-        assert tc.content is not None
-        length = self.read_ulong()
-        dtype = _NUMPY_SEQ_DTYPES.get(tc.content.kind)
-        if dtype is not None:
-            _, size = _PRIMITIVE_FORMATS[tc.content.kind]
-            self.align(size)
-            raw = self.read_raw(length * size)
-            # Native byte order for downstream numerics.
-            return np.frombuffer(raw, dtype=dtype).astype(dtype[1:], copy=True)
-        return [self.read_value(tc.content) for _ in range(length)]
-
-    def _read_struct(self, tc: TypeCode) -> Any:
-        fields = {name: self.read_value(ftc) for name, ftc in tc.fields}
-        cls = _STRUCT_REGISTRY.get(tc.name)
-        if cls is not None:
-            return cls(**fields)
-        return GenericStruct(tc.name, **fields)
+        return decoder_plan(tc)(self)
 
     def _read_enum(self, tc: TypeCode) -> Any:
         index = self.read_ulong()
@@ -752,7 +592,6 @@ def decode_any(data: bytes) -> Any:
 # a struct of sequences touches no dispatch table per element.  TypeCode is
 # a frozen dataclass, hence hashable, hence a cache key.
 
-_PLAN_CACHE_ENABLED = True
 _ENCODER_PLANS: dict[TypeCode, Callable] = {}
 _DECODER_PLANS: dict[TypeCode, Callable] = {}
 _PLAN_STATS = {
@@ -763,18 +602,6 @@ _PLAN_STATS = {
     "any_memo_hits": 0,
     "any_memo_misses": 0,
 }
-
-
-def plan_cache_enabled() -> bool:
-    return _PLAN_CACHE_ENABLED
-
-
-def set_plan_cache_enabled(enabled: bool) -> None:
-    """Globally toggle the plan cache (``write_value``/``read_value`` fall
-    back to the uncached kind-dispatch when off).  Exists for the cache
-    on/off parity tests and for apples-to-apples marshalling benches."""
-    global _PLAN_CACHE_ENABLED
-    _PLAN_CACHE_ENABLED = bool(enabled)
 
 
 def clear_plan_cache() -> None:
@@ -997,129 +824,6 @@ def _compile_decoder(tc: TypeCode) -> Callable[[CdrInputStream], Any]:
         raise CdrError(f"cannot decode TypeCode kind {_kind.name}")
 
     return read_unsupported
-
-
-# -- AOT marshal codegen registry ---------------------------------------------------
-#
-# One level above the plan cache: the IDL compiler emits flat per-type
-# ``encode_<Type>``/``decode_<Type>`` functions (no typecode walk, no
-# per-field closure hop) and registers them here, keyed by TypeCode.
-# ``write_value``/``read_value`` consult this registry first when the
-# ``marshal_codegen`` runtime flag is on; any exception from a generated
-# coder rolls the stream back and falls through to the interpreted path,
-# so error semantics at the API boundary are unchanged.
-
-_MARSHAL_CODEGEN_ENABLED = False
-_GENERATED_ENCODERS: dict[TypeCode, Callable[[CdrOutputStream, Any], None]] = {}
-_GENERATED_DECODERS: dict[TypeCode, Callable[[CdrInputStream], Any]] = {}
-_CODEGEN_STATS: dict[str, Any] = {
-    "modules_generated": 0,
-    "generation_seconds": 0.0,
-    "encoder_hits": 0,
-    "encoder_fallbacks": 0,
-    "decoder_hits": 0,
-    "decoder_fallbacks": 0,
-    "request_encoder_hits": 0,
-    "request_encoder_fallbacks": 0,
-    "arg_decoder_hits": 0,
-    "arg_decoder_fallbacks": 0,
-    "dispatch_hits": 0,
-    "dispatch_fallbacks": 0,
-    "reply_encode_fallbacks": 0,
-}
-
-
-class FastPathUnavailable(Exception):
-    """Raised by a generated skeleton dispatch function when it cannot
-    serve a request (e.g. undecodable arguments).  The ORB falls back to
-    the interpreted dispatch, which produces the canonical error — the
-    fast path never calls the servant method before this is settled, so
-    no side effect runs twice."""
-
-
-def marshal_codegen_enabled() -> bool:
-    return _MARSHAL_CODEGEN_ENABLED
-
-
-def set_marshal_codegen_enabled(enabled: bool) -> None:
-    """Globally toggle the generated-coder fast path.  Registration is
-    unconditional (generated modules register at import); this flag only
-    gates whether the registries are consulted."""
-    global _MARSHAL_CODEGEN_ENABLED
-    _MARSHAL_CODEGEN_ENABLED = bool(enabled)
-
-
-def reset_marshal_codegen_stats() -> None:
-    for key in _CODEGEN_STATS:
-        _CODEGEN_STATS[key] = 0.0 if key == "generation_seconds" else 0
-
-
-def codegen_count(stat: str) -> None:
-    _CODEGEN_STATS[stat] += 1
-
-
-def note_generated_module(seconds: float) -> None:
-    """Record one fast-path module generation (called by compile_idl)."""
-    _CODEGEN_STATS["modules_generated"] += 1
-    _CODEGEN_STATS["generation_seconds"] += seconds
-
-
-def marshal_codegen_stats() -> dict:
-    """A snapshot of generated-path counters plus registry sizes."""
-    stats: dict[str, Any] = {"enabled": _MARSHAL_CODEGEN_ENABLED}
-    stats.update(_CODEGEN_STATS)
-    stats["typecode_coders"] = len(_GENERATED_ENCODERS)
-    from repro.orb.stubs import GENERATED_REQUEST_ENCODERS
-
-    stats["op_coders"] = len(GENERATED_REQUEST_ENCODERS)
-    return stats
-
-
-def register_generated_coders(
-    tc: TypeCode,
-    encoder: Callable[[CdrOutputStream, Any], None],
-    decoder: Callable[[CdrInputStream], Any],
-) -> None:
-    """Register flat generated coders for one TypeCode (latest wins, the
-    same policy as the name-keyed class registries)."""
-    _GENERATED_ENCODERS[tc] = encoder
-    _GENERATED_DECODERS[tc] = decoder
-
-
-def generated_coders() -> dict[TypeCode, tuple[Callable, Callable]]:
-    """Registered generated coders by TypeCode (for tests and checkers)."""
-    return {
-        tc: (enc, _GENERATED_DECODERS[tc])
-        for tc, enc in _GENERATED_ENCODERS.items()
-    }
-
-
-def _tc_mentions(tc: TypeCode, name: str) -> bool:
-    if tc.name == name:
-        return True
-    if tc.content is not None and _tc_mentions(tc.content, name):
-        return True
-    return any(_tc_mentions(ftc, name) for _, ftc in tc.fields)
-
-
-def _invalidate_generated(name: str, old: Optional[type], new: type) -> None:
-    """Drop generated coders that bake in a displaced class.
-
-    Generated decoders construct their module's own classes directly; the
-    interpreted path looks classes up by type name at decode time (latest
-    registration wins).  When a registration *replaces* a different class
-    under the same name, every generated coder whose TypeCode mentions
-    that name is stale — drop it so the two paths cannot diverge.  The
-    replacing module re-registers its own coders right after this."""
-    if old is None or old is new or not _GENERATED_ENCODERS:
-        return
-    stale = [tc for tc in _GENERATED_ENCODERS if _tc_mentions(tc, name)]
-    for tc in stale:
-        del _GENERATED_ENCODERS[tc]
-        _GENERATED_DECODERS.pop(tc, None)
-    from repro.orb import stubs
-
-    stubs._drop_generated_ops(name, _tc_mentions)
 
 
 # -- unchanged-payload fast path ---------------------------------------------------

@@ -8,30 +8,19 @@ into a namespace.  :func:`generate_source` exposes the source itself, which
 is handy for inspecting what "the IDL compiler" produced, exactly as one
 would read omniidl's output.
 
-A second, optional *fast-path* layer (``fast_path=True``, the
-:func:`compile_idl` default) appends ahead-of-time marshal/dispatch code to
-the same module: flat ``_enc_<Type>``/``_dec_<Type>`` functions that inline
-the full field sequence — consecutive primitives batched into one
-precompiled :class:`struct.Struct` pack with alignment resolved at codegen
-time, sub-struct coders called directly by name — plus per-operation
-request builders, argument decoders and skeleton dispatch functions.  The
-layer registers everything with :mod:`repro.orb.cdr` /
-:mod:`repro.orb.stubs`; the registries are only *consulted* when the
-``marshal_codegen`` runtime flag is on, and any generated-path failure
-falls back to the interpreted coder, so wire bytes and error semantics are
-identical either way.
+No marshalling code is generated: every emitted type carries its
+:class:`~repro.orb.typecodes.TypeCode` as ``__tc__``, and stubs, skeletons,
+the DII and ``any`` all marshal through the one plan-cache path in
+:mod:`repro.orb.cdr`.
 """
 
 from __future__ import annotations
 
 import keyword
-import time
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional
 
 from repro.errors import IdlSemanticError
-from repro.orb import cdr as _cdr
 from repro.orb.idl import idlast as ast
 from repro.orb.idl.parser import parse_idl
 
@@ -73,66 +62,6 @@ _BASIC_TC = {
 }
 
 
-#: struct-module format char + byte size for the fixed-size primitives
-#: (mirrors cdr._PRIMITIVE_FORMATS; boolean handled separately so the
-#: generated code coerces truthiness exactly like write_boolean).
-_PRIM_FMT = {
-    "octet": ("B", 1),
-    "short": ("h", 2),
-    "unsigned short": ("H", 2),
-    "long": ("i", 4),
-    "unsigned long": ("I", 4),
-    "long long": ("q", 8),
-    "unsigned long long": ("Q", 8),
-    "float": ("f", 4),
-    "double": ("d", 8),
-}
-
-#: struct format char -> numpy dtype (sans byte order) for numeric
-#: sequences; must stay in lockstep with ``cdr._NUMPY_SEQ_DTYPES``.
-_NUMPY_FMT_DTYPES = {
-    "h": "i2",
-    "H": "u2",
-    "i": "i4",
-    "I": "u4",
-    "q": "i8",
-    "Q": "u8",
-    "f": "f4",
-    "d": "f8",
-}
-
-
-@dataclass
-class _FType:
-    """Resolved shape of a type for flat fast-path emission.
-
-    ``kind`` is one of prim|boolean|string|octets|numseq|seq|array|struct|
-    enum|union|any|objref|void; ``fmt``/``size`` are set for prim,
-    ``pyname`` for struct/enum/union (the generated class and coder-name
-    suffix), ``element``/``length`` for seq/array, ``length`` doubles as
-    the member count for enum, and ``tc_expr`` carries the TypeCode
-    expression for plan-delegated numeric sequences."""
-
-    kind: str
-    fmt: str = ""
-    size: int = 0
-    pyname: str = ""
-    element: Optional["_FType"] = None
-    length: int = 0
-    tc_expr: str = ""
-
-
-def _seq_ftype(element: _FType, tc_expr: str) -> _FType:
-    if element.kind == "prim" and element.fmt == "B":
-        # sequence<octet> collapses to TC_OCTETS (see typecodes.sequence).
-        return _FType("octets")
-    if element.kind == "prim":
-        # Numeric sequences get a struct.pack fast lane for list/tuple
-        # values; everything else delegates to the vectorized numpy plan.
-        return _FType("numseq", element=element, tc_expr=tc_expr)
-    return _FType("seq", element=element, tc_expr=tc_expr)
-
-
 @dataclass
 class _Symbol:
     kind: str  # struct|enum|enum-member|union|typedef|exception|interface|const
@@ -143,8 +72,6 @@ class _Symbol:
     forward: bool = False
     #: constant value (const declarations and enum members).
     value: object = None
-    #: resolved fast-path shape (None for consts/enum members).
-    ftype: Optional[_FType] = None
 
 
 def _safe(name: str) -> str:
@@ -158,8 +85,6 @@ class _CodeGenerator:
         self._scope: list[str] = []
         self._lines: list[str] = [_PRELUDE]
         self._exports: list[str] = []
-        #: fast-path emission worklist, in declaration order.
-        self._fp_items: list[tuple] = []
 
     # -- name handling -----------------------------------------------------------
 
@@ -225,45 +150,6 @@ class _CodeGenerator:
             )
         return symbol.tc_expr
 
-    def _ftype(self, type_ref: ast.TypeRef) -> _FType:
-        """Resolve a TypeRef to its fast-path shape.
-
-        Callers evaluate :meth:`_tc_expr` on the same reference first, so
-        invalid type positions (consts, exceptions) have already raised.
-        """
-        if isinstance(type_ref, ast.BasicType):
-            name = type_ref.name
-            if name == "boolean":
-                return _FType("boolean", size=1)
-            if name in _PRIM_FMT:
-                fmt, size = _PRIM_FMT[name]
-                return _FType("prim", fmt=fmt, size=size)
-            if name == "string":
-                return _FType("string")
-            if name == "any":
-                return _FType("any")
-            if name == "Object":
-                return _FType("objref")
-            if name == "void":
-                return _FType("void")
-            raise IdlSemanticError(f"unsupported basic type {name!r}")
-        if isinstance(type_ref, ast.SequenceType):
-            return _seq_ftype(
-                self._ftype(type_ref.element), self._tc_expr(type_ref)
-            )
-        if isinstance(type_ref, ast.ArrayType):
-            return _FType(
-                "array",
-                element=self._ftype(type_ref.element),
-                length=type_ref.length,
-                tc_expr=self._tc_expr(type_ref),
-            )
-        assert isinstance(type_ref, ast.ScopedName)
-        symbol = self._resolve(type_ref)
-        if symbol.ftype is None:
-            raise IdlSemanticError(f"{type_ref} is not a value type")
-        return symbol.ftype
-
     # -- emission helpers --------------------------------------------------------------
 
     def _emit(self, text: str = "") -> None:
@@ -274,7 +160,7 @@ class _CodeGenerator:
 
     # -- walking ------------------------------------------------------------------------
 
-    def generate(self, spec: ast.Specification, fast_path: bool = False) -> str:
+    def generate(self, spec: ast.Specification) -> str:
         for declaration in spec.body:
             self._visit(declaration)
         unresolved = [
@@ -286,12 +172,6 @@ class _CodeGenerator:
             )
         self._emit()
         self._emit(f"__all__ = {sorted(self._exports)!r}")
-        if fast_path:
-            emitter = _FastPathEmitter()
-            for item in self._fp_items:
-                emitter.emit_item(item)
-            for line in emitter.assemble():
-                self._emit(line)
         return self.render()
 
     def _visit(self, node: object) -> None:
@@ -332,16 +212,12 @@ class _CodeGenerator:
             f"({_safe(name)!r}, {self._tc_expr(type_ref)})"
             for type_ref, name in node.members
         )
-        field_fts = [
-            (_safe(name), self._ftype(type_ref)) for type_ref, name in node.members
-        ]
         tc_var = f"_TC_{pyname}"
         self._emit()
         self._emit(f"{tc_var} = _tc.struct({tc_name!r}, ({field_exprs}{',' if node.members else ''}))")
         self._emit()
         self._emit(f"class {pyname}:")
         self._emit(f'    """IDL struct ``{tc_name}``."""')
-        self._emit(f"    __slots__ = {tuple(field_names)!r}")
         self._emit(f"    __tc__ = {tc_var}")
         self._emit(f"    __fields__ = {tuple(field_names)!r}")
         params = ", ".join(f"{name}=None" for name in field_names)
@@ -364,16 +240,7 @@ class _CodeGenerator:
         )
         self._emit(f"        return f'{pyname}({{body}})'")
         self._emit(f"_reg_struct({tc_name!r}, {pyname})")
-        self._declare(
-            _Symbol(
-                "struct",
-                fq,
-                pyname,
-                tc_expr=tc_var,
-                ftype=_FType("struct", pyname=pyname),
-            )
-        )
-        self._fp_items.append(("struct", pyname, field_fts))
+        self._declare(_Symbol("struct", fq, pyname, tc_expr=tc_var))
         self._exports.append(pyname)
 
     # -- enums ---------------------------------------------------------------------------
@@ -395,9 +262,7 @@ class _CodeGenerator:
             self._emit(f"    {_safe(member)} = {index}")
         self._emit(f"{pyname}.__tc__ = {tc_var}")
         self._emit(f"_reg_enum({tc_name!r}, {pyname})")
-        enum_ft = _FType("enum", pyname=pyname, length=len(node.members))
-        self._declare(_Symbol("enum", fq, pyname, tc_expr=tc_var, ftype=enum_ft))
-        self._fp_items.append(("enum", pyname, enum_ft))
+        self._declare(_Symbol("enum", fq, pyname, tc_expr=tc_var))
         # IDL enum members live in the *enclosing* scope.
         for index, member in enumerate(node.members):
             self._declare(
@@ -417,14 +282,11 @@ class _CodeGenerator:
         pyname = self._pyname(fq)
         tc_name = "::".join(fq)
         discriminator_expr = self._tc_expr(node.discriminator)
-        discriminator_ft = self._ftype(node.discriminator)
 
         case_exprs: list[str] = []
-        case_fts: list[tuple[object, _FType]] = []
         default_index = -1
         for case in node.cases:
             tc_expr = self._tc_expr(case.type)
-            case_ft = self._ftype(case.type)
             field = _safe(case.name)
             if case.is_default:
                 if default_index >= 0:
@@ -433,11 +295,9 @@ class _CodeGenerator:
                     )
                 default_index = len(case_exprs)
                 case_exprs.append(f"(None, {field!r}, {tc_expr})")
-                case_fts.append((None, case_ft))
             for label in case.labels:
                 value = self._resolve_label(tc_name, label)
                 case_exprs.append(f"({value!r}, {field!r}, {tc_expr})")
-                case_fts.append((value, case_ft))
 
         tc_var = f"_TC_{pyname}"
         self._emit()
@@ -448,7 +308,6 @@ class _CodeGenerator:
         self._emit()
         self._emit(f"class {pyname}:")
         self._emit(f'    """IDL union ``{tc_name}``."""')
-        self._emit("    __slots__ = ('discriminator', 'value')")
         self._emit(f"    __tc__ = {tc_var}")
         self._emit("    def __init__(self, discriminator, value):")
         self._emit("        self.discriminator = discriminator")
@@ -466,18 +325,7 @@ class _CodeGenerator:
             f"        return f'{pyname}({{self.discriminator!r}}, {{self.value!r}})'"
         )
         self._emit(f"_reg_union({tc_name!r}, {pyname})")
-        self._declare(
-            _Symbol(
-                "union",
-                fq,
-                pyname,
-                tc_expr=tc_var,
-                ftype=_FType("union", pyname=pyname),
-            )
-        )
-        self._fp_items.append(
-            ("union", pyname, discriminator_ft, case_fts, default_index)
-        )
+        self._declare(_Symbol("union", fq, pyname, tc_expr=tc_var))
         self._exports.append(pyname)
 
     def _resolve_label(self, union_name: str, label):
@@ -502,13 +350,7 @@ class _CodeGenerator:
         tc_var = f"_TC_{pyname}"
         self._emit()
         self._emit(f"{tc_var} = {self._tc_expr(node.type)}  # typedef {'::'.join(fq)}")
-        ftype = self._ftype(node.type)
-        self._declare(_Symbol("typedef", fq, pyname, tc_expr=tc_var, ftype=ftype))
-        if ftype.kind in ("seq", "array"):
-            # Standalone coders so write_value/read_value on the typedef'd
-            # TypeCode take the flat path (numeric sequences already ride
-            # the vectorized plan; scalar typedefs are a single primitive).
-            self._fp_items.append(("typedef", pyname, ftype))
+        self._declare(_Symbol("typedef", fq, pyname, tc_expr=tc_var))
 
     # -- exceptions ------------------------------------------------------------------------
 
@@ -522,9 +364,6 @@ class _CodeGenerator:
             f"({_safe(name)!r}, {self._tc_expr(type_ref)})"
             for type_ref, name in node.members
         )
-        field_fts = [
-            (_safe(name), self._ftype(type_ref)) for type_ref, name in node.members
-        ]
         tc_var = f"_TC_{pyname}"
         self._emit()
         self._emit(
@@ -541,10 +380,6 @@ class _CodeGenerator:
         self._declare(
             _Symbol("exception", fq, pyname, tc_expr=tc_var, repo_id=repo_id)
         )
-        # Exceptions marshal exactly like structs (UserException.__init__
-        # zips positional args with __fields__, so the generated decoder's
-        # positional construction is equivalent to cls(**fields)).
-        self._fp_items.append(("struct", pyname, field_fts))
         self._exports.append(pyname)
 
     # -- consts -----------------------------------------------------------------------------
@@ -571,7 +406,6 @@ class _CodeGenerator:
                         pyname,
                         repo_id=self._repo_id(fq),
                         forward=True,
-                        ftype=_FType("objref"),
                     )
                 )
             return
@@ -587,11 +421,7 @@ class _CodeGenerator:
         if existing is None:
             # Declare up front so operations may use the interface type
             # recursively (e.g. NamingContext::bind_new_context).
-            self._declare(
-                _Symbol(
-                    "interface", fq, pyname, repo_id=repo_id, ftype=_FType("objref")
-                )
-            )
+            self._declare(_Symbol("interface", fq, pyname, repo_id=repo_id))
 
         base_symbols: list[_Symbol] = []
         for base in node.bases:
@@ -614,7 +444,7 @@ class _CodeGenerator:
                     attributes.append(child)
                 else:
                     self._visit(child)
-            op_entries, method_sources, fp_ops = self._build_operations(
+            op_entries, method_sources = self._build_operations(
                 node.name, operations, attributes
             )
         finally:
@@ -647,9 +477,6 @@ class _CodeGenerator:
             self._emit(source)
         base_ids = tuple(b.repo_id for b in base_symbols)
         self._emit(f"_reg_iface({repo_id!r}, {base_ids!r})")
-        self._fp_items.append(
-            ("interface", pyname, [b.pyname for b in base_symbols], fp_ops)
-        )
         self._exports.extend([f"{pyname}Stub", f"{pyname}Skeleton"])
 
     def _build_operations(
@@ -657,10 +484,9 @@ class _CodeGenerator:
         interface_name: str,
         operations: list[ast.OperationDecl],
         attributes: list[ast.AttributeDecl],
-    ) -> tuple[list[str], dict[str, list[str]], list[tuple]]:
+    ) -> tuple[list[str], dict[str, list[str]]]:
         entries: list[str] = []
         methods: dict[str, list[str]] = {"stub": [], "skel": []}
-        fp_ops: list[tuple] = []
         seen: set[str] = set()
 
         def add_op(
@@ -669,8 +495,6 @@ class _CodeGenerator:
             result_expr: str,
             raises_ids: tuple[str, ...],
             oneway: bool,
-            param_fts: list[_FType],
-            result_ft: _FType,
         ) -> None:
             if op_name in seen:
                 raise IdlSemanticError(
@@ -683,17 +507,9 @@ class _CodeGenerator:
                 f"{op_name!r}: _OpInfo({op_name!r}, ({params_expr}{trailing}), "
                 f"{result_expr}, {raises_ids!r}, {oneway!r}),"
             )
-            fp_ops.append(
-                (
-                    op_name,
-                    [(n, ft) for (n, _), ft in zip(params, param_fts)],
-                    result_ft,
-                )
-            )
 
         for op in operations:
             params: list[tuple[str, str]] = []
-            param_fts: list[_FType] = []
             for param in op.params:
                 if param.direction != "in":
                     raise IdlSemanticError(
@@ -701,16 +517,11 @@ class _CodeGenerator:
                         "parameters are not supported (use a struct return)"
                     )
                 params.append((_safe(param.name), self._tc_expr(param.type)))
-                param_fts.append(self._ftype(param.type))
             raises_ids = tuple(
                 self._require_exception(scoped).repo_id for scoped in op.raises
             )
             result_expr = self._tc_expr(op.returns)
-            result_ft = self._ftype(op.returns)
-            add_op(
-                op.name, params, result_expr, raises_ids, op.oneway,
-                param_fts, result_ft,
-            )
+            add_op(op.name, params, result_expr, raises_ids, op.oneway)
             arg_list = ", ".join(name for name, _ in params)
             signature = f"self{', ' + arg_list if arg_list else ''}"
             call_args = f"({arg_list},)" if arg_list else "()"
@@ -725,10 +536,9 @@ class _CodeGenerator:
 
         for attr in attributes:
             tc_expr = self._tc_expr(attr.type)
-            attr_ft = self._ftype(attr.type)
             for name in attr.names:
                 safe_name = _safe(name)
-                add_op(f"_get_{name}", [], tc_expr, (), False, [], attr_ft)
+                add_op(f"_get_{name}", [], tc_expr, (), False)
                 methods["stub"].append(
                     f"    def get_{safe_name}(self):\n"
                     f"        return self._invoke({'_get_' + name!r}, ())"
@@ -738,10 +548,7 @@ class _CodeGenerator:
                     f"        return getattr(self, {name!r})"
                 )
                 if not attr.readonly:
-                    add_op(
-                        f"_set_{name}", [("value", tc_expr)], "_tc.TC_VOID",
-                        (), False, [attr_ft], _FType("void"),
-                    )
+                    add_op(f"_set_{name}", [("value", tc_expr)], "_tc.TC_VOID", (), False)
                     methods["stub"].append(
                         f"    def set_{safe_name}(self, value):\n"
                         f"        return self._invoke({'_set_' + name!r}, (value,))"
@@ -750,7 +557,7 @@ class _CodeGenerator:
                         f"    def _set_{safe_name}(self, value):\n"
                         f"        setattr(self, {name!r}, value)"
                     )
-        return entries, methods, fp_ops
+        return entries, methods
 
     def _require_exception(self, scoped: ast.ScopedName) -> _Symbol:
         symbol = self._resolve(scoped)
@@ -759,762 +566,32 @@ class _CodeGenerator:
         return symbol
 
 
-# -- fast-path emission ---------------------------------------------------------
-
-
-class _EncWriter:
-    """Encode-statement accumulator for one emission scope.
-
-    Consecutive fixed-size primitives batch into a single precompiled
-    ``struct.Struct`` pack with CDR alignment resolved at codegen time:
-    ``anchor`` is the largest power of two the output position is known to
-    be aligned to, ``offset`` counts bytes emitted since the last
-    anchor-aligned point.  A primitive no larger than the anchor needs at
-    most a static ``'x'`` pad; a larger one flushes the batch and emits a
-    runtime align (raising the anchor).  Variable-length writes reset the
-    anchor to 1 via :meth:`lose_alignment`.
-    """
-
-    def __init__(
-        self,
-        fp: "_FastPathEmitter",
-        indent: int,
-        anchor: int,
-        offset: int = 0,
-    ) -> None:
-        self.fp = fp
-        self.indent = indent
-        self.anchor = anchor
-        self.offset = offset
-        self.lines: list[str] = []
-        self._pre: list[str] = []
-        self._fmt: list[str] = []
-        self._args: list[str] = []
-
-    def stmt(self, text: str) -> None:
-        self.lines.append("    " * self.indent + text)
-
-    def pre(self, text: str) -> None:
-        """A guard/temp line to run before the pending batch packs."""
-        self._pre.append("    " * self.indent + text)
-
-    def flush(self) -> None:
-        self.lines.extend(self._pre)
-        self._pre = []
-        if self._fmt:
-            idx = self.fp.pool_idx("".join(self._fmt))
-            self.stmt(f"_b += _S{idx}_pack({', '.join(self._args)})")
-            self._fmt = []
-            self._args = []
-
-    def put(self, ch: str, size: int, expr: str) -> None:
-        if size > self.anchor:
-            self.flush()
-            self.stmt(f"_r = -len(_b) & {size - 1}")
-            self.stmt("if _r:")
-            self.stmt("    _b += _PAD[:_r]")
-            self.anchor = size
-            self.offset = 0
-        else:
-            pad = -self.offset % size
-            if pad:
-                self._fmt.append("x" * pad)
-                self.offset += pad
-        self._fmt.append(ch)
-        self._args.append(expr)
-        self.offset += size
-
-    def lose_alignment(self) -> None:
-        self.anchor = 1
-        self.offset = 0
-
-    def child(self) -> "_EncWriter":
-        return _EncWriter(self.fp, self.indent + 1, 1)
-
-    def adopt(self, sub: "_EncWriter") -> None:
-        sub.flush()
-        self.lines.extend(sub.lines or ["    " * sub.indent + "pass"])
-
-
-class _DecWriter:
-    """Decode-statement accumulator; the mirror of :class:`_EncWriter`.
-
-    Batched primitives become one ``Struct.unpack_from`` with pad counts
-    baked into the format; ``_p`` is the absolute cursor, advanced by the
-    statically-known batch width.
-    """
-
-    def __init__(
-        self,
-        fp: "_FastPathEmitter",
-        indent: int,
-        anchor: int,
-        offset: int = 0,
-    ) -> None:
-        self.fp = fp
-        self.indent = indent
-        self.anchor = anchor
-        self.offset = offset
-        self.lines: list[str] = []
-        self._fmt: list[str] = []
-        self._names: list[str] = []
-        self._bytes = 0
-
-    def stmt(self, text: str) -> None:
-        self.lines.append("    " * self.indent + text)
-
-    def flush(self) -> None:
-        if self._fmt:
-            idx = self.fp.pool_idx("".join(self._fmt))
-            targets = ", ".join(self._names)
-            if len(self._names) == 1:
-                targets += ","
-            self.stmt(f"{targets} = _S{idx}_unpack(_d, _p)")
-            self.stmt(f"_p += {self._bytes}")
-            self._fmt = []
-            self._names = []
-            self._bytes = 0
-
-    def take(self, ch: str, size: int) -> str:
-        if size > self.anchor:
-            self.flush()
-            self.stmt(f"_p += -_p & {size - 1}")
-            self.anchor = size
-            self.offset = 0
-        else:
-            pad = -self.offset % size
-            if pad:
-                self._fmt.append(f"{pad}x")
-                self._bytes += pad
-                self.offset += pad
-        name = self.fp.newtmp()
-        self._fmt.append(ch)
-        self._names.append(name)
-        self._bytes += size
-        self.offset += size
-        return name
-
-    def lose_alignment(self) -> None:
-        self.anchor = 1
-        self.offset = 0
-
-    def child(self) -> "_DecWriter":
-        return _DecWriter(self.fp, self.indent + 1, 1)
-
-    def adopt(self, sub: "_DecWriter") -> None:
-        sub.flush()
-        self.lines.extend(sub.lines or ["    " * sub.indent + "pass"])
-
-
-class _FastPathEmitter:
-    """Emits the flat AOT marshal/dispatch layer for one IDL document.
-
-    Every generated coder *raises* on input it does not expect; the
-    registry consults in :mod:`repro.orb.cdr` / :mod:`repro.orb.core` roll
-    the stream back on any exception and replay the interpreted path, so
-    the strict-by-construction generated code never has to replicate the
-    interpreted coercion corners — it only has to be bit-identical on the
-    inputs it accepts.
-    """
-
-    def __init__(self) -> None:
-        self.body: list[str] = []
-        self._tmp = 0
-        self._pool: dict[str, int] = {}
-        self._enc_plans: dict[str, str] = {}
-        self._dec_plans: dict[str, str] = {}
-        self._plan_lines: list[str] = []
-
-    # -- shared resources ---------------------------------------------------
-
-    def newtmp(self) -> str:
-        self._tmp += 1
-        return f"_t{self._tmp}"
-
-    def pool_idx(self, fmt: str) -> int:
-        idx = self._pool.get(fmt)
-        if idx is None:
-            idx = len(self._pool)
-            self._pool[fmt] = idx
-        return idx
-
-    def enc_plan_var(self, tc_expr: str) -> str:
-        var = self._enc_plans.get(tc_expr)
-        if var is None:
-            var = f"_PLE{len(self._enc_plans)}"
-            self._enc_plans[tc_expr] = var
-            self._plan_lines.append(f"{var} = _encoder_plan({tc_expr})")
-        return var
-
-    def dec_plan_var(self, tc_expr: str) -> str:
-        var = self._dec_plans.get(tc_expr)
-        if var is None:
-            var = f"_PLD{len(self._dec_plans)}"
-            self._dec_plans[tc_expr] = var
-            self._plan_lines.append(f"{var} = _decoder_plan({tc_expr})")
-        return var
-
-    # -- per-kind emission --------------------------------------------------
-
-    def encode_value(self, w: _EncWriter, ft: _FType, expr: str) -> None:
-        k = ft.kind
-        if k == "prim":
-            w.put(ft.fmt, ft.size, expr)
-        elif k == "boolean":
-            w.put("B", 1, f"(1 if {expr} else 0)")
-        elif k == "enum":
-            t = self.newtmp()
-            w.pre(f"{t} = {expr}")
-            w.pre(f"if type({t}) is not int:")
-            w.pre(f"    {t} = getattr({t}, 'value', {t})")
-            w.pre(f"if not 0 <= {t} < {ft.length}:")
-            w.pre("    raise _CdrError('enum index out of range')")
-            w.put("I", 4, t)
-        elif k == "string":
-            t = self.newtmp()
-            w.pre(f"{t} = {expr}")
-            w.pre(f"if type({t}) is not str:")
-            w.pre("    raise _CdrError('expected str')")
-            w.pre(f"{t} = {t}.encode('utf-8')")
-            w.put("I", 4, f"len({t}) + 1")
-            w.flush()
-            w.stmt(f"_b += {t}")
-            w.stmt("_b += _NUL")
-            w.lose_alignment()
-        elif k == "octets":
-            t = self.newtmp()
-            w.pre(f"{t} = {expr}")
-            w.pre(f"if type({t}) is bytearray:")
-            w.pre(f"    {t} = bytes({t})")
-            w.pre(f"elif type({t}) is not bytes:")
-            w.pre("    raise _CdrError('expected bytes')")
-            w.put("I", 4, f"len({t})")
-            w.flush()
-            w.stmt(f"_b += {t}")
-            w.lose_alignment()
-        elif k == "numseq":
-            # Plain lists/tuples take a single struct.pack — bit-identical
-            # to the numpy plan for every value it accepts (IEEE-754 floats
-            # convert the same way; an out-of-range int raises and rolls the
-            # whole call back to the interpreted path, which wraps like the
-            # numpy astype).  Anything else (ndarrays, generators) delegates
-            # to the vectorized plan, count included.
-            el = ft.element
-            t = self.newtmp()
-            n = self.newtmp()
-            w.flush()
-            w.stmt(f"{t} = {expr}")
-            w.stmt(f"if type({t}) is list or type({t}) is tuple:")
-            w.stmt(f"    {n} = len({t})")
-            w.stmt("    _r = -len(_b) & 3")
-            w.stmt("    if _r:")
-            w.stmt("        _b += _PAD[:_r]")
-            w.stmt(f"    _b += _S{self.pool_idx('I')}_pack({n})")
-            if el.size > 4:
-                w.stmt(f"    _r = -len(_b) & {el.size - 1}")
-                w.stmt("    if _r:")
-                w.stmt("        _b += _PAD[:_r]")
-            w.stmt(f"    _b += _pack('>%d{el.fmt}' % {n}, *{t})")
-            w.stmt("else:")
-            w.stmt(f"    {self.enc_plan_var(ft.tc_expr)}(_s, {t})")
-            w.lose_alignment()
-        elif k == "seq":
-            t = self.newtmp()
-            w.pre(f"{t} = {expr}")
-            w.put("I", 4, f"len({t})")
-            w.flush()
-            lv = self.newtmp()
-            w.stmt(f"for {lv} in {t}:")
-            sub = w.child()
-            self.encode_value(sub, ft.element, lv)
-            w.adopt(sub)
-            w.lose_alignment()
-        elif k == "array":
-            t = self.newtmp()
-            w.pre(f"{t} = {expr}")
-            w.pre(f"if len({t}) != {ft.length}:")
-            w.pre("    raise _CdrError('bad array length')")
-            el = ft.element
-            if el.kind in ("prim", "boolean") and ft.length <= 32:
-                # Unrolled indexing keeps the whole array in one batch.
-                for i in range(ft.length):
-                    if el.kind == "prim":
-                        w.put(el.fmt, el.size, f"{t}[{i}]")
-                    else:
-                        w.put("B", 1, f"(1 if {t}[{i}] else 0)")
-            else:
-                w.flush()
-                lv = self.newtmp()
-                w.stmt(f"for {lv} in {t}:")
-                sub = w.child()
-                self.encode_value(sub, el, lv)
-                w.adopt(sub)
-                w.lose_alignment()
-        elif k in ("struct", "union"):
-            w.flush()
-            w.stmt(f"_enc_{ft.pyname}(_s, {expr})")
-            w.lose_alignment()
-        elif k == "any":
-            w.flush()
-            w.stmt(f"_s.write_any({expr})")
-            w.lose_alignment()
-        elif k == "objref":
-            w.flush()
-            w.stmt(f"_s.write_ior({expr})")
-            w.lose_alignment()
-        elif k == "void":
-            w.pre(f"if {expr} is not None:")
-            w.pre("    raise _CdrError('void carries no value')")
-        else:  # pragma: no cover - _ftype is exhaustive
-            raise IdlSemanticError(f"cannot emit encoder for kind {k!r}")
-
-    def decode_value(self, r: _DecWriter, ft: _FType) -> str:
-        """Emit decode statements; returns the value expression (a temp
-        name, or a pure transformation of temps the batch realizes)."""
-        k = ft.kind
-        if k == "prim":
-            return r.take(ft.fmt, ft.size)
-        if k == "boolean":
-            return f"bool({r.take('B', 1)})"
-        if k == "enum":
-            # 'I' unpacks unsigned, so a bad wire index can only be too
-            # large — IndexError here falls back to the interpreted path.
-            return f"_M_{ft.pyname}[{r.take('I', 4)}]"
-        if k == "string":
-            n = r.take("I", 4)
-            r.flush()
-            t = self.newtmp()
-            r.stmt(f"{t} = _d[_p:_p + {n}]")
-            r.stmt(f"if not {n} or len({t}) != {n} or {t}[-1]:")
-            r.stmt("    raise _CdrError('bad string')")
-            r.stmt(f"_p += {n}")
-            r.lose_alignment()
-            return f"{t}[:-1].decode('utf-8')"
-        if k == "octets":
-            n = r.take("I", 4)
-            r.flush()
-            t = self.newtmp()
-            r.stmt(f"{t} = _d[_p:_p + {n}]")
-            r.stmt(f"if len({t}) != {n}:")
-            r.stmt("    raise _CdrError('short octets')")
-            r.stmt(f"_p += {n}")
-            r.lose_alignment()
-            return t
-        if k == "numseq":
-            # Mirror the interpreted path exactly: big-endian frombuffer
-            # over the wire bytes, then a native-order copy (frombuffer
-            # raises on underrun, which falls back to the canonical error).
-            el = ft.element
-            dtype = _NUMPY_FMT_DTYPES[el.fmt]
-            n = r.take("I", 4)
-            r.flush()
-            t = self.newtmp()
-            if el.size > 4:
-                r.stmt(f"_p += -_p & {el.size - 1}")
-            r.stmt(
-                f"{t} = _np.frombuffer(_d, '>{dtype}', {n}, _p)"
-                f".astype('{dtype}', copy=True)"
-            )
-            r.stmt(f"_p += {n} * {el.size}")
-            r.lose_alignment()
-            return t
-        if k == "seq":
-            n = r.take("I", 4)
-            r.flush()
-            t = self.newtmp()
-            ap = self.newtmp()
-            lv = self.newtmp()
-            r.stmt(f"{t} = []")
-            r.stmt(f"{ap} = {t}.append")
-            r.stmt(f"for {lv} in range({n}):")
-            sub = r.child()
-            e = self.decode_value(sub, ft.element)
-            sub.flush()
-            sub.stmt(f"{ap}({e})")
-            r.adopt(sub)
-            r.lose_alignment()
-            return t
-        if k == "array":
-            el = ft.element
-            if el.kind in ("prim", "boolean", "enum") and ft.length <= 32:
-                exprs = [self.decode_value(r, el) for _ in range(ft.length)]
-                return f"[{', '.join(exprs)}]"
-            t = self.newtmp()
-            ap = self.newtmp()
-            lv = self.newtmp()
-            r.flush()
-            r.stmt(f"{t} = []")
-            r.stmt(f"{ap} = {t}.append")
-            r.stmt(f"for {lv} in range({ft.length}):")
-            sub = r.child()
-            e = self.decode_value(sub, el)
-            sub.flush()
-            sub.stmt(f"{ap}({e})")
-            r.adopt(sub)
-            r.lose_alignment()
-            return t
-        if k in ("struct", "union"):
-            r.flush()
-            t = self.newtmp()
-            r.stmt("_s._pos = _p")
-            r.stmt(f"{t} = _dec_{ft.pyname}(_s)")
-            r.stmt("_p = _s._pos")
-            r.lose_alignment()
-            return t
-        if k == "any":
-            r.flush()
-            t = self.newtmp()
-            r.stmt("_s._pos = _p")
-            r.stmt(f"{t} = _s.read_any()")
-            r.stmt("_p = _s._pos")
-            r.lose_alignment()
-            return t
-        if k == "objref":
-            r.flush()
-            t = self.newtmp()
-            r.stmt("_s._pos = _p")
-            r.stmt(f"{t} = _s.read_ior()")
-            r.stmt("_p = _s._pos")
-            r.lose_alignment()
-            return t
-        if k == "void":
-            return "None"
-        raise IdlSemanticError(  # pragma: no cover - _ftype is exhaustive
-            f"cannot emit decoder for kind {k!r}"
-        )
-
-    # -- per-item emission --------------------------------------------------
-
-    def emit_item(self, item: tuple) -> None:
-        kind = item[0]
-        if kind == "struct":
-            self.emit_struct(item[1], item[2])
-        elif kind == "enum":
-            self.emit_enum(item[1], item[2])
-        elif kind == "union":
-            self.emit_union(item[1], item[2], item[3], item[4])
-        elif kind == "typedef":
-            self.emit_typedef(item[1], item[2])
-        else:
-            assert kind == "interface"
-            self.emit_interface(item[1], item[2], item[3])
-
-    def emit_struct(self, pyname: str, field_fts: list[tuple]) -> None:
-        o = self.body
-        o.append("")
-        o.append("")
-        o.append(f"def _enc_{pyname}(_s, _v):")
-        w = _EncWriter(self, 1, 1)
-        w.stmt("_b = _s._buffer")
-        for name, ft in field_fts:
-            self.encode_value(w, ft, f"_v.{name}")
-        w.flush()
-        o.extend(w.lines)
-        o.append("")
-        o.append("")
-        o.append(f"def _dec_{pyname}(_s):")
-        r = _DecWriter(self, 1, 1)
-        r.stmt("_d = _s._data")
-        r.stmt("_p = _s._pos")
-        exprs = [self.decode_value(r, ft) for _, ft in field_fts]
-        r.flush()
-        r.stmt("_s._pos = _p")
-        r.stmt(f"return {pyname}({', '.join(exprs)})")
-        o.extend(r.lines)
-        o.append("")
-        o.append(f"_reg_coders(_TC_{pyname}, _enc_{pyname}, _dec_{pyname})")
-
-    def emit_enum(self, pyname: str, ft: _FType) -> None:
-        o = self.body
-        o.append("")
-        o.append(f"_M_{pyname} = tuple({pyname})")
-        o.append("")
-        o.append("")
-        o.append(f"def _enc_{pyname}(_s, _v):")
-        w = _EncWriter(self, 1, 1)
-        w.stmt("_b = _s._buffer")
-        self.encode_value(w, ft, "_v")
-        w.flush()
-        o.extend(w.lines)
-        o.append("")
-        o.append("")
-        o.append(f"def _dec_{pyname}(_s):")
-        r = _DecWriter(self, 1, 1)
-        r.stmt("_d = _s._data")
-        r.stmt("_p = _s._pos")
-        e = self.decode_value(r, ft)
-        r.flush()
-        r.stmt("_s._pos = _p")
-        r.stmt(f"return {e}")
-        o.extend(r.lines)
-        o.append("")
-        o.append(f"_reg_coders(_TC_{pyname}, _enc_{pyname}, _dec_{pyname})")
-
-    def emit_union(
-        self,
-        pyname: str,
-        disc_ft: _FType,
-        case_fts: list[tuple],
-        default_index: int,
-    ) -> None:
-        o = self.body
-        branches = [
-            (label, ft)
-            for index, (label, ft) in enumerate(case_fts)
-            if index != default_index
-        ]
-        default_ft = case_fts[default_index][1] if default_index >= 0 else None
-        o.append("")
-        o.append("")
-        o.append(f"def _enc_{pyname}(_s, _v):")
-        w = _EncWriter(self, 1, 1)
-        w.stmt("_b = _s._buffer")
-        w.stmt("_dv = _v.discriminator")
-        self.encode_value(w, disc_ft, "_dv")
-        w.flush()
-        if not branches:
-            # Only a default case: no branch to select.
-            self.encode_value(w, default_ft, "_v.value")
-            w.flush()
-        else:
-            kw = "if"
-            for label, ft in branches:
-                w.stmt(f"{kw} _dv == {label!r}:")
-                sub = _EncWriter(self, w.indent + 1, w.anchor, w.offset)
-                self.encode_value(sub, ft, "_v.value")
-                w.adopt(sub)
-                kw = "elif"
-            w.stmt("else:")
-            if default_ft is not None:
-                sub = _EncWriter(self, w.indent + 1, w.anchor, w.offset)
-                self.encode_value(sub, default_ft, "_v.value")
-                w.adopt(sub)
-            else:
-                w.stmt("    raise _CdrError('no matching union case')")
-        o.extend(w.lines)
-        o.append("")
-        o.append("")
-        o.append(f"def _dec_{pyname}(_s):")
-        r = _DecWriter(self, 1, 1)
-        r.stmt("_d = _s._data")
-        r.stmt("_p = _s._pos")
-        de = self.decode_value(r, disc_ft)
-        r.flush()
-        r.stmt(f"_dv = {de}")
-        if not branches:
-            ve = self.decode_value(r, default_ft)
-            r.flush()
-            r.stmt(f"_uv = {ve}")
-        else:
-            kw = "if"
-            for label, ft in branches:
-                r.stmt(f"{kw} _dv == {label!r}:")
-                sub = _DecWriter(self, r.indent + 1, r.anchor, r.offset)
-                e = self.decode_value(sub, ft)
-                sub.flush()
-                sub.stmt(f"_uv = {e}")
-                r.adopt(sub)
-                kw = "elif"
-            r.stmt("else:")
-            if default_ft is not None:
-                sub = _DecWriter(self, r.indent + 1, r.anchor, r.offset)
-                e = self.decode_value(sub, default_ft)
-                sub.flush()
-                sub.stmt(f"_uv = {e}")
-                r.adopt(sub)
-            else:
-                r.stmt("    raise _CdrError('no matching union case')")
-            r.lose_alignment()
-        r.stmt("_s._pos = _p")
-        r.stmt(f"return {pyname}(_dv, _uv)")
-        o.extend(r.lines)
-        o.append("")
-        o.append(f"_reg_coders(_TC_{pyname}, _enc_{pyname}, _dec_{pyname})")
-
-    def emit_typedef(self, pyname: str, ft: _FType) -> None:
-        o = self.body
-        o.append("")
-        o.append("")
-        o.append(f"def _enc_{pyname}(_s, _v):")
-        w = _EncWriter(self, 1, 1)
-        w.stmt("_b = _s._buffer")
-        self.encode_value(w, ft, "_v")
-        w.flush()
-        o.extend(w.lines)
-        o.append("")
-        o.append("")
-        o.append(f"def _dec_{pyname}(_s):")
-        r = _DecWriter(self, 1, 1)
-        r.stmt("_d = _s._data")
-        r.stmt("_p = _s._pos")
-        e = self.decode_value(r, ft)
-        r.flush()
-        r.stmt("_s._pos = _p")
-        r.stmt(f"return {e}")
-        o.extend(r.lines)
-        o.append("")
-        o.append(f"_reg_coders(_TC_{pyname}, _enc_{pyname}, _dec_{pyname})")
-
-    def emit_interface(
-        self, ipy: str, base_pynames: list[str], fp_ops: list[tuple]
-    ) -> None:
-        o = self.body
-        entries: list[tuple[str, str]] = []
-        for op_name, params, result_ft in fp_ops:
-            fn = f"{ipy}__{op_name}"
-            o.append("")
-            o.append("")
-            o.append(f"def _rq_{fn}(_args):")
-            if not params:
-                o.append('    return b""')
-            else:
-                w = _EncWriter(self, 1, 8)
-                w.stmt("_s = _CdrOut()")
-                w.stmt("_b = _s._buffer")
-                targets = ", ".join(f"_a{i}" for i in range(len(params)))
-                if len(params) == 1:
-                    targets += ","
-                w.stmt(f"{targets} = _args")
-                for i, (_pname, ft) in enumerate(params):
-                    self.encode_value(w, ft, f"_a{i}")
-                w.flush()
-                w.stmt("return bytes(_b)")
-                o.extend(w.lines)
-            o.append("")
-            o.append("")
-            o.append(f"def _ad_{fn}(_body):")
-            if not params:
-                o.append("    return []")
-            else:
-                r = _DecWriter(self, 1, 8)
-                r.stmt("_s = _CdrIn(_body)")
-                r.stmt("_d = _body")
-                r.stmt("_p = 0")
-                exprs = [self.decode_value(r, ft) for _pname, ft in params]
-                r.flush()
-                r.stmt(f"return [{', '.join(exprs)}]")
-                o.extend(r.lines)
-            o.append("")
-            o.append("")
-            o.append(f"def _dp_{fn}(_srv, _body, _hook=None):")
-            o.append(f"    _m = getattr(_srv, {op_name!r}, None)")
-            o.append("    if _m is None or not callable(_m):")
-            o.append("        raise _FPUnavailable('servant method missing')")
-            if params:
-                # Everything before the servant call — argument decoding
-                # included — degrades to _FPUnavailable so the interpreted
-                # dispatch can produce the canonical error exactly once.
-                o.append("    try:")
-                r = _DecWriter(self, 2, 8)
-                r.stmt("_s = _CdrIn(_body)")
-                r.stmt("_d = _body")
-                r.stmt("_p = 0")
-                exprs = [self.decode_value(r, ft) for _pname, ft in params]
-                r.flush()
-                for i, e in enumerate(exprs):
-                    r.stmt(f"_a{i} = {e}")
-                o.extend(r.lines)
-                o.append("    except Exception as _exc:")
-                o.append("        raise _FPUnavailable(str(_exc)) from _exc")
-            o.append("    if _hook is not None:")
-            o.append("        _hook()")
-            call = ", ".join(f"_a{i}" for i in range(len(params)))
-            o.append(f"    _res = _m({call})")
-            o.append("    if _isgen(_res):")
-            o.append("        return (_res, None, None)")
-            if result_ft.kind == "void":
-                o.append("    if _res is not None:")
-                o.append("        return (None, None, _res)")
-                o.append('    return (None, b"", None)')
-            else:
-                o.append("    try:")
-                w = _EncWriter(self, 2, 8)
-                w.stmt("_s = _CdrOut()")
-                w.stmt("_b = _s._buffer")
-                self.encode_value(w, result_ft, "_res")
-                w.flush()
-                o.extend(w.lines)
-                o.append("    except Exception:")
-                o.append("        return (None, None, _res)")
-                o.append("    return (None, bytes(_b), None)")
-            entries.append((op_name, fn))
-        o.append("")
-        for op_name, fn in entries:
-            o.append(f"_reg_ops(_OPS_{ipy}[{op_name!r}], _rq_{fn}, _ad_{fn})")
-        merges = "".join(f"**_FD_{base}, " for base in base_pynames)
-        items = ", ".join(f"{op!r}: _dp_{fn}" for op, fn in entries)
-        o.append(f"_FD_{ipy} = {{{merges}{items}}}")
-        o.append(f"{ipy}Skeleton.__fastdispatch__ = _FD_{ipy}")
-
-    # -- final assembly -----------------------------------------------------
-
-    def assemble(self) -> list[str]:
-        lines = [
-            "",
-            "",
-            "# -- AOT fast-path marshal/dispatch layer (generated) " + "-" * 22,
-            "import struct as _struct",
-            "import numpy as _np",
-            "from inspect import isgenerator as _isgen",
-            "",
-            "from repro.errors import CdrError as _CdrError",
-            "from repro.orb.cdr import (",
-            "    CdrInputStream as _CdrIn,",
-            "    CdrOutputStream as _CdrOut,",
-            "    FastPathUnavailable as _FPUnavailable,",
-            "    decoder_plan as _decoder_plan,",
-            "    encoder_plan as _encoder_plan,",
-            "    register_generated_coders as _reg_coders,",
-            ")",
-            "from repro.orb.stubs import register_generated_ops as _reg_ops",
-            "",
-            "_PAD = b'\\x00' * 8",
-            "_NUL = b'\\x00'",
-            "_pack = _struct.pack",
-        ]
-        for fmt, idx in self._pool.items():
-            lines.append(f"_S{idx} = _struct.Struct('>{fmt}')")
-            lines.append(f"_S{idx}_pack = _S{idx}.pack")
-            lines.append(f"_S{idx}_unpack = _S{idx}.unpack_from")
-        lines.extend(self._plan_lines)
-        lines.extend(self.body)
-        return lines
-
-
 class IdlNamespace(SimpleNamespace):
     """The result of compiling an IDL source: generated classes as
     attributes, plus ``__source__`` (the generated Python) and ``__ast__``."""
 
 
-def generate_source(source: str, fast_path: bool = False) -> str:
+def generate_source(source: str) -> str:
     """Compile IDL to Python source text without executing it."""
     spec = parse_idl(source)
-    return _CodeGenerator().generate(spec, fast_path=fast_path)
+    return _CodeGenerator().generate(spec)
 
 
-def compile_idl(
-    source: str, name: str = "idl", save_to=None, fast_path: bool = True
-) -> IdlNamespace:
+def compile_idl(source: str, name: str = "idl", save_to=None) -> IdlNamespace:
     """Compile IDL source and return the generated namespace.
 
     :param save_to: optional path; writes the generated Python stub source
         there (the ``omniidl -bpython`` workflow, for inspection or
         vendoring).
-    :param fast_path: also emit + register the AOT marshal/dispatch layer
-        (used only when the ``marshal_codegen`` runtime flag is on).
     """
     spec = parse_idl(source)
-    started = time.perf_counter()  # analysis: ignore[DET001]: wall clock only feeds the marshal_codegen generation-time counter, never simulation state
-    python_source = _CodeGenerator().generate(spec, fast_path=fast_path)
+    python_source = _CodeGenerator().generate(spec)
     if save_to is not None:
         from pathlib import Path
 
         Path(save_to).write_text(python_source)
     namespace: dict[str, object] = {}
     exec(compile(python_source, f"<idl:{name}>", "exec"), namespace)
-    if fast_path:
-        elapsed = time.perf_counter() - started  # analysis: ignore[DET001]: wall clock only feeds the marshal_codegen generation-time counter, never simulation state
-        _cdr.note_generated_module(elapsed)
     result = IdlNamespace(
         **{
             key: value

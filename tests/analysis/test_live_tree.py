@@ -9,28 +9,33 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import Baseline, analyze_paths
 from repro.analysis.cli import BASELINE_FILENAME
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_live_tree_is_clean_modulo_baseline():
+@pytest.fixture(scope="module")
+def baselined_result():
+    """One baselined analysis of the live tree, shared by the tests below."""
     baseline = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
-    result = analyze_paths(
+    return analyze_paths(
         [REPO_ROOT / "src" / "repro"], root=REPO_ROOT, baseline=baseline
     )
+
+
+def test_live_tree_is_clean_modulo_baseline(baselined_result):
+    result = baselined_result
     assert result.exit_code(strict=True) == 0, "\n".join(
         f.render() for f in result.findings
     ) or "stale baseline entries: " + repr(result.stale_baseline)
 
 
-def test_every_baseline_entry_is_still_live():
+def test_every_baseline_entry_is_still_live(baselined_result):
     """Stale suppressions must be pruned, not accumulated."""
-    baseline = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
-    result = analyze_paths(
-        [REPO_ROOT / "src" / "repro"], root=REPO_ROOT, baseline=baseline
-    )
+    result = baselined_result
     assert result.stale_baseline == []
     assert result.baselined  # the checked-in entries match real findings
 

@@ -96,6 +96,18 @@ def test_string_must_be_nul_terminated():
         CdrInputStream(out.getvalue()).read_string()
 
 
+def test_invalid_utf8_on_the_wire_raises_cdr_error():
+    data = bytearray(encode_any("ab"))
+    data[data.index(b"ab")] = 0xFF
+    with pytest.raises(CdrError, match="UTF-8"):
+        decode_any(bytes(data))
+
+
+def test_unencodable_string_raises_cdr_error():
+    with pytest.raises(CdrError, match="UTF-8"):
+        encode_any("\ud800")
+
+
 # -- sequences -----------------------------------------------------------------
 
 

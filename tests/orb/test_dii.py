@@ -5,6 +5,7 @@ import pytest
 from repro.errors import BAD_OPERATION, COMM_FAILURE
 from repro.orb import compile_idl
 from repro.orb.dii import Request
+from tests.conftest import OrbWorld
 
 ns = compile_idl(
     """
@@ -46,6 +47,43 @@ def test_synchronous_invoke(world):
         return (yield request.invoke())
 
     assert world.run(client()) == 40
+
+
+def test_dii_matches_static_stub_path():
+    """A DII request and a static stub call of the same struct operation get
+    equal replies at the same simulated time: both share one marshal path."""
+    point_ns = compile_idl(
+        """
+        struct DiiPoint { double x; sequence<long> tags; string label; };
+        interface DiiEcho { DiiPoint shift(in DiiPoint p, in double dx); };
+        """,
+        name="dii-parity-test",
+    )
+
+    class EchoImpl(point_ns.DiiEchoSkeleton):
+        def shift(self, p, dx):
+            yield self._host().execute(0.01)
+            p.x += dx
+            return p
+
+    def run(use_dii):
+        world = OrbWorld()
+        ior = world.orb(1).poa.activate(EchoImpl())
+        stub = world.orb(0).stub(ior, point_ns.DiiEchoStub)
+        point = point_ns.DiiPoint(x=1.5, tags=[3, 1, 4], label="p")
+
+        def client():
+            if use_dii:
+                return (yield stub._create_request("shift", (point, 2.0)).invoke())
+            return (yield stub.shift(point, 2.0))
+
+        reply = world.run(client())
+        return (reply.x, list(reply.tags), reply.label), world.sim.now
+
+    dii_reply, dii_time = run(use_dii=True)
+    stub_reply, stub_time = run(use_dii=False)
+    assert dii_reply == stub_reply == (3.5, [3, 1, 4], "p")
+    assert dii_time == stub_time > 0
 
 
 def test_deferred_requests_run_concurrently(world):

@@ -1,4 +1,8 @@
-"""Tests for the IDL compiler: lexer, parser, codegen."""
+"""Tests for the IDL compiler: lexer, parser, codegen, command line."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -154,6 +158,37 @@ def test_compile_idl_save_to_writes_source(tmp_path):
     assert "class SaverStub" in source
     assert source == ns.__source__
     compile(source, str(out), "exec")
+
+
+def test_idl_cli_smoke(tmp_path):
+    idl_file = tmp_path / "cli.idl"
+    idl_file.write_text(
+        "struct CliPoint { double x; double y; };\n"
+        "interface CliEcho { CliPoint echo(in CliPoint p); };\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+
+    plain = subprocess.run(
+        [sys.executable, "-m", "repro.orb.idl", str(idl_file)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert plain.stdout == generate_source(idl_file.read_text())
+    assert "class CliPoint:" in plain.stdout
+    assert "class CliEchoStub" in plain.stdout
+
+    missing = subprocess.run(
+        [sys.executable, "-m", "repro.orb.idl", str(tmp_path / "nope.idl")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert missing.returncode == 2
+    assert "cannot read" in missing.stderr
 
 
 def test_compiled_namespace_contents():
